@@ -295,8 +295,8 @@ void DigestUploadPipeline::Stop() {
 void DigestUploadPipeline::Loop(std::chrono::milliseconds interval) {
   mu_.Lock();
   while (!stop_) {
-    // Sleep out the interval, waking early only for Stop (same discipline
-    // as the WAL/uploader loops: timeout with stop_ false = time to work).
+    // Sleep out the interval, waking early only for Stop. A timeout with
+    // stop_ still false means the interval elapsed: time to work.
     auto deadline = std::chrono::steady_clock::now() + interval;
     while (!stop_) {
       if (!cv_.WaitUntil(&mu_, deadline)) break;

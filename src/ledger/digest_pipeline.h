@@ -25,7 +25,7 @@
 //
 // The synchronous core (SubmitDigest / GenerateAndSubmit / Pump) is what
 // the deterministic simulator and tests drive; Start() wraps it in the
-// background cadence thread that replaces PeriodicDigestUploader's loop.
+// database's one background digest cadence thread.
 // All time comes from the database's injectable clock, so backoff and
 // breaker transitions replay deterministically under the simulator.
 
@@ -144,7 +144,7 @@ class DigestUploadPipeline {
   /// benches with real or fast-ticking clocks.
   Status DrainFully();
 
-  // ---- Background cadence (replaces PeriodicDigestUploader's loop) ----
+  // ---- Background cadence ----
 
   /// Starts the background thread: every `interval`, GenerateAndSubmit +
   /// Pump. No-op if already started.
