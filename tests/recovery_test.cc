@@ -91,6 +91,11 @@ TEST_F(RecoveryTest, CrashRecoveryReplaysWalTail) {
     auto d = db->GenerateDigest();
     ASSERT_TRUE(d.ok());
     digest = *d;
+    // A read-only commit writes no WAL record, so it must not count either:
+    // replay could not restore it and the count would drop on restart.
+    auto reader = db->Begin("reader");
+    ASSERT_TRUE(db->Scan(*reader, "accounts").ok());
+    ASSERT_TRUE(db->Commit(*reader).ok());
     committed = db->committed_txn_count();
     // NO checkpoint, no clean shutdown: destructor simulates the crash
     // (state is only in checkpoint-at-DDL + WAL).
