@@ -259,6 +259,31 @@ TEST(Tracer, RingWrapsOldestFirstAndCountsDrops) {
   EXPECT_NE(json.find("\"dropped_events\":12"), std::string::npos);
 }
 
+TEST(Tracer, OverwrittenSlotKeepsNoStaleFields) {
+  // Recording assigns into the evicted event's ring slot in place, so every
+  // field must be rewritten, not only those the new event uses.
+  MetricRegistry reg([] { return int64_t{50}; });
+  Tracer tracer(&reg, 2);
+  tracer.RecordInstant("digest.breaker", "digest", "from", "open");
+  tracer.RecordComplete("commit.group", "commit", 10, 7);
+  tracer.RecordComplete("checkpoint", "storage", 20, 3);  // evicts the instant
+  tracer.RecordInstant("verify.fallback", "verify");  // evicts the first span
+  std::vector<TraceEvent> events = tracer.Events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].name, "checkpoint");
+  EXPECT_EQ(events[0].category, "storage");
+  EXPECT_EQ(events[0].phase, 'X');
+  EXPECT_EQ(events[0].dur_micros, 3);
+  EXPECT_EQ(events[0].arg_name, "");
+  EXPECT_EQ(events[0].arg_value, "");
+  EXPECT_EQ(events[1].name, "verify.fallback");
+  EXPECT_EQ(events[1].phase, 'i');
+  EXPECT_EQ(events[1].ts_micros, 50);
+  EXPECT_EQ(events[1].dur_micros, 0);
+  EXPECT_EQ(events[1].arg_name, "");
+  EXPECT_EQ(tracer.ToChromeJson().Dump().find("\"args\""), std::string::npos);
+}
+
 TEST(Tracer, DisabledSpanNeverReadsClock) {
   std::atomic<int> reads{0};
   MetricRegistry reg([&reads] {
