@@ -11,8 +11,8 @@
 //
 // Writes machine-readable BENCH_digest_outage.json (peak staleness, catch-up
 // time, retry/breaker counters) so CI can compare runs without scraping
-// stdout. Self-contained main(), no google-benchmark: the interesting
-// number is one wall-clock measurement, not a steady-state throughput.
+// stdout. The interesting number is one wall-clock measurement, not a
+// steady-state throughput.
 
 #include <unistd.h>
 

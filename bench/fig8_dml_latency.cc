@@ -6,8 +6,16 @@
 // (two hashes + history insert); overhead roughly independent of the index
 // count. We reproduce the ordering INSERT < DELETE < UPDATE and the
 // index-count independence of the *overhead*.
+//
+// Each figure is the median over kRounds of the mean latency of a fixed
+// number of single-row transactions (Begin, DML, Commit), each round on a
+// fresh in-memory database preloaded with kPrepopulated rows. Exits 1 if
+// any operation fails.
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 
 #include "ledger/ledger_database.h"
 
@@ -16,6 +24,12 @@ using namespace sqlledger;
 namespace {
 
 constexpr int64_t kPrepopulated = 4096;
+// Timed transactions per figure. No more than kPrepopulated, so the DELETE
+// loop never runs out of rows.
+constexpr int64_t kIters = 4000;
+constexpr int kRounds = 3;
+
+enum class Op { kInsert, kUpdate, kDelete };
 
 // 4 BIGINT columns (32 bytes) + VARCHAR payload of 228 = 260-byte rows,
 // matching the paper's §4.1.2 setup.
@@ -35,96 +49,105 @@ Row WideRow(int64_t id) {
           Value::BigInt(id * 5), Value::Varchar(std::string(228, 'x'))};
 }
 
-struct BenchDb {
-  std::unique_ptr<LedgerDatabase> db;
-  int64_t next_id = 1;
-
-  BenchDb(bool ledger, int num_indexes) {
-    LedgerDatabaseOptions options;
-    options.enable_ledger = ledger;
-    options.block_size = 100000;
-    auto opened = LedgerDatabase::Open(std::move(options));
-    if (!opened.ok()) std::exit(1);
-    db = std::move(*opened);
-    TableKind kind = ledger ? TableKind::kUpdateable : TableKind::kRegular;
-    if (!db->CreateTable("t", WideSchema(), kind).ok()) std::exit(1);
-    static const char* kIndexCols[] = {"a", "b", "c"};
-    for (int i = 0; i < num_indexes; i++) {
-      if (!db->CreateIndex("t", std::string("idx_") + kIndexCols[i],
-                           {kIndexCols[i]}, false)
-               .ok())
-        std::exit(1);
-    }
-    Prepopulate(kPrepopulated);
-  }
-
-  void Prepopulate(int64_t n) {
-    auto txn = db->Begin("load");
-    for (int64_t i = 0; i < n; i++) {
-      if (!db->Insert(*txn, "t", WideRow(next_id++)).ok()) std::exit(1);
-    }
-    if (!db->Commit(*txn).ok()) std::exit(1);
-  }
-};
-
-// args: {ledger (0/1), num_indexes}
-void BM_Insert(benchmark::State& state) {
-  BenchDb bench(state.range(0) != 0, static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    auto txn = bench.db->Begin("bench");
-    Status st = bench.db->Insert(*txn, "t", WideRow(bench.next_id++));
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    benchmark::DoNotOptimize(st);
-    (void)bench.db->Commit(*txn);
-  }
-  state.SetLabel(state.range(0) ? "ledger" : "regular");
+void CheckOk(const Status& st) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "fig8_dml_latency: %s\n", st.ToString().c_str());
+  std::exit(1);
 }
 
-void BM_Update(benchmark::State& state) {
-  BenchDb bench(state.range(0) != 0, static_cast<int>(state.range(1)));
-  int64_t key = 1;
-  for (auto _ : state) {
-    auto txn = bench.db->Begin("bench");
-    Row row = WideRow(key);
-    row[1] = Value::BigInt(bench.next_id++);  // perturb a non-key column
-    Status st = bench.db->Update(*txn, "t", row);
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    (void)bench.db->Commit(*txn);
-    key = key % kPrepopulated + 1;
-  }
-  state.SetLabel(state.range(0) ? "ledger" : "regular");
+Transaction* BeginOrDie(LedgerDatabase* db, const char* user) {
+  auto txn = db->Begin(user);
+  CheckOk(txn.status());
+  return *txn;
 }
 
-void BM_Delete(benchmark::State& state) {
-  BenchDb bench(state.range(0) != 0, static_cast<int>(state.range(1)));
-  int64_t key = 1;
-  for (auto _ : state) {
-    if (key > bench.next_id - 1) {  // pool exhausted: refill untimed
-      state.PauseTiming();
-      bench.Prepopulate(kPrepopulated);
-      state.ResumeTiming();
+// A table "t" with `num_indexes` secondary indexes and rows 1..kPrepopulated.
+std::unique_ptr<LedgerDatabase> OpenLoaded(bool ledger, int num_indexes) {
+  LedgerDatabaseOptions options;
+  options.enable_ledger = ledger;
+  options.block_size = 100000;
+  auto opened = LedgerDatabase::Open(std::move(options));
+  CheckOk(opened.status());
+  std::unique_ptr<LedgerDatabase> db = std::move(*opened);
+  TableKind kind = ledger ? TableKind::kUpdateable : TableKind::kRegular;
+  CheckOk(db->CreateTable("t", WideSchema(), kind));
+  static const char* kIndexCols[] = {"a", "b", "c"};
+  for (int i = 0; i < num_indexes; i++) {
+    CheckOk(db->CreateIndex("t", std::string("idx_") + kIndexCols[i],
+                            {kIndexCols[i]}, false));
+  }
+  Transaction* load = BeginOrDie(db.get(), "load");
+  for (int64_t id = 1; id <= kPrepopulated; id++) {
+    CheckOk(db->Insert(load, "t", WideRow(id)));
+  }
+  CheckOk(db->Commit(load));
+  return db;
+}
+
+// Mean microseconds of one single-row transaction running `op`.
+double MeasureUs(Op op, bool ledger, int num_indexes) {
+  std::unique_ptr<LedgerDatabase> db = OpenLoaded(ledger, num_indexes);
+  auto start = std::chrono::steady_clock::now();
+  for (int64_t i = 0; i < kIters; i++) {
+    Transaction* txn = BeginOrDie(db.get(), "bench");
+    const int64_t fresh_id = kPrepopulated + 1 + i;
+    switch (op) {
+      case Op::kInsert:
+        CheckOk(db->Insert(txn, "t", WideRow(fresh_id)));
+        break;
+      case Op::kUpdate: {
+        Row row = WideRow(i + 1);
+        row[1] = Value::BigInt(fresh_id);  // perturb an indexed non-key column
+        CheckOk(db->Update(txn, "t", row));
+        break;
+      }
+      case Op::kDelete:
+        CheckOk(db->Delete(txn, "t", {Value::BigInt(i + 1)}));
+        break;
     }
-    auto txn = bench.db->Begin("bench");
-    Status st = bench.db->Delete(*txn, "t", {Value::BigInt(key++)});
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    (void)bench.db->Commit(*txn);
+    CheckOk(db->Commit(txn));
   }
-  state.SetLabel(state.range(0) ? "ledger" : "regular");
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - start)
+             .count() /
+         kIters;
 }
-
-void IndexSweep(benchmark::internal::Benchmark* b) {
-  for (int ledger = 0; ledger <= 1; ledger++) {
-    for (int indexes = 0; indexes <= 3; indexes++) {
-      b->Args({ledger, indexes});
-    }
-  }
-  b->Unit(benchmark::kMicrosecond);
-}
-
-BENCHMARK(BM_Insert)->Apply(IndexSweep);
-BENCHMARK(BM_Update)->Apply(IndexSweep);
-BENCHMARK(BM_Delete)->Apply(IndexSweep);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  struct {
+    Op op;
+    const char* name;
+  } const kOps[] = {
+      {Op::kInsert, "INSERT"}, {Op::kUpdate, "UPDATE"}, {Op::kDelete, "DELETE"}};
+
+  std::printf("=== Fig. 8: single-row DML latency, 260-byte rows ===\n");
+  std::printf("(us per single-row transaction: median of %d rounds of %lld)"
+              "\n\n",
+              kRounds, static_cast<long long>(kIters));
+  std::printf("%-7s %7s %9s %9s %9s\n", "op", "indexes", "regular", "ledger",
+              "overhead");
+  for (const auto& op : kOps) {
+    double overhead_sum = 0;
+    for (int indexes = 0; indexes <= 3; indexes++) {
+      // Regular and ledger rounds alternate, so drift hits both alike.
+      double regular_us[kRounds], ledger_us[kRounds];
+      for (int r = 0; r < kRounds; r++) {
+        regular_us[r] = MeasureUs(op.op, false, indexes);
+        ledger_us[r] = MeasureUs(op.op, true, indexes);
+      }
+      std::sort(regular_us, regular_us + kRounds);
+      std::sort(ledger_us, ledger_us + kRounds);
+      double regular = regular_us[kRounds / 2];
+      double ledger = ledger_us[kRounds / 2];
+      overhead_sum += ledger - regular;
+      std::printf("%-7s %7d %9.2f %9.2f %9.2f\n", op.name, indexes, regular,
+                  ledger, ledger - regular);
+    }
+    std::printf("%-7s %7s %29.2f\n", op.name, "mean", overhead_sum / 4);
+  }
+  std::printf("\npaper: overhead INSERT < DELETE < UPDATE, roughly flat in the "
+              "index count\n");
+  return 0;
+}

@@ -168,10 +168,6 @@ uint64_t DatabaseLedger::total_entries() const {
   return total_entries_;
 }
 
-std::pair<uint64_t, uint64_t> DatabaseLedger::AssignSlot() {
-  return AssignSlots(1)[0];
-}
-
 std::vector<std::pair<uint64_t, uint64_t>> DatabaseLedger::AssignSlots(
     size_t n) {
   MutexLock lock(&mu_);
@@ -213,7 +209,7 @@ Status DatabaseLedger::Append(TransactionEntry entry) {
 }
 
 Status DatabaseLedger::CloseOpenBlockLocked() {
-  // Merkle tree over the entries in ordinal order; AssignSlot/Append keep
+  // Merkle tree over the entries in ordinal order; AssignSlots/Append keep
   // open_entries_ ordinal-ordered by construction.
   MerkleTree tree(TransactionLeafHashes(open_entries_));
 

@@ -49,10 +49,6 @@ class DatabaseLedger {
 
   // ---- Commit path (paper §3.3.2). ----
 
-  /// Assigns the next (block id, ordinal) slot. Called while forming the
-  /// WAL commit record.
-  std::pair<uint64_t, uint64_t> AssignSlot();
-
   /// Assigns `n` contiguous slots for a commit group in one critical
   /// section. Slots roll over block boundaries (block_size ordinals per
   /// block), so a single group may span blocks; the subsequent Append calls
@@ -69,7 +65,7 @@ class DatabaseLedger {
 
   /// Appends a committed transaction's entry to the open block and the
   /// in-memory durability queue, then closes the block if it is full.
-  /// The entry's (block_id, block_ordinal) must come from AssignSlot.
+  /// The entry's (block_id, block_ordinal) must come from AssignSlots.
   Status Append(TransactionEntry entry);
 
   // ---- Digest generation (paper §2.2). ----
